@@ -7,10 +7,10 @@
 //! calls the profiling appendix. The run itself produces byte-identical
 //! [`RunStats`] to an untraced run — tracing only *observes*.
 
-use crate::context::{ConfigKind, STEADY_WARMUP};
+use crate::context::{ConfigKind, EvalContext};
 use memento_obs::profile::render_samples;
 use memento_system::{Machine, RunStats};
-use memento_workloads::spec::{Category, WorkloadSpec};
+use memento_workloads::spec::WorkloadSpec;
 use std::fmt;
 use std::path::Path;
 
@@ -32,7 +32,8 @@ pub struct ProfileReport {
     pub charged_cycles: u64,
 }
 
-/// Runs `spec` under `kind` with tracing enabled and renders the
+/// Runs `spec` under `kind` with tracing enabled — the same run the
+/// figures measure ([`EvalContext::simulate`]) — and renders the
 /// profiling views. When `trace_path` is given the machine also writes the
 /// Chrome/Perfetto `trace_event` JSON there at run end (open it in
 /// `ui.perfetto.dev`); otherwise the trace stays in memory.
@@ -47,11 +48,7 @@ pub fn profile_run(
         None => cfg.traced_in_memory(),
     };
     let mut machine = Machine::new(cfg);
-    let stats = if spec.category == Category::Function {
-        machine.run(spec)
-    } else {
-        machine.run_steady(spec, STEADY_WARMUP)
-    };
+    let stats = EvalContext::simulate_on(&mut machine, spec);
     let obs = machine
         .observability()
         .expect("profile_run enables tracing");
@@ -89,7 +86,7 @@ impl fmt::Display for ProfileReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::EvalContext;
+    use crate::sharding::SimPoint;
 
     #[test]
     fn profile_renders_all_sections() {
@@ -111,14 +108,27 @@ mod tests {
         let mut spec = ctx.workload("aes");
         spec.total_instructions = 200_000;
         let report = profile_run(&spec, ConfigKind::Baseline, None);
-        let plain = EvalContext::simulate(&crate::sharding::SimPoint::new(
-            spec.clone(),
-            ConfigKind::Baseline,
-        ));
+        let plain = EvalContext::simulate(&SimPoint::new(spec.clone(), ConfigKind::Baseline));
         assert_eq!(
             report.stats.total_cycles(),
             plain.total_cycles(),
             "tracing must be cycle-invisible"
+        );
+    }
+
+    #[test]
+    fn long_running_profile_is_the_figure_run() {
+        // A long-running app is profiled on the warm-container steady
+        // window the figures report, not on some other warm-up cut.
+        let ctx = EvalContext::quick();
+        let mut spec = ctx.workload("SQLite3");
+        spec.total_instructions = 400_000;
+        let report = profile_run(&spec, ConfigKind::Baseline, None);
+        let figure = EvalContext::simulate(&SimPoint::new(spec, ConfigKind::Baseline));
+        assert_eq!(
+            format!("{:?}", report.stats),
+            format!("{figure:?}"),
+            "profile_run diverged from the figure path"
         );
     }
 }

@@ -3,9 +3,10 @@
 //! Everything else in this crate measures the simulated machine on the
 //! simulated clock. This module points the instrumentation at ourselves:
 //! how much real time does the cluster event loop, calibration, or shard
-//! merge take? The bench harness (`memento-bench`) enables it around the
-//! pinned workload set and writes per-span totals into `BENCH_*.json`, so
-//! perf regressions name the hot loop that regressed instead of just the
+//! merge take? The repository benchmark's traced run (`membench --trace 1`)
+//! enables it around the traced `region_fleet` passes and reports the
+//! per-span totals as `cluster.sim.*` per-layer metrics, so perf
+//! regressions name the hot loop that regressed instead of just the
 //! end-to-end wall time.
 //!
 //! # Determinism

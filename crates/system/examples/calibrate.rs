@@ -4,6 +4,10 @@ use memento_system::{stats, Machine, SystemConfig};
 use memento_workloads::spec::Category;
 use memento_workloads::suite;
 
+/// Warm-container invocations per long-running app, as the evaluation
+/// runs them (`memento_experiments::context::STEADY_INVOCATIONS`).
+const STEADY_INVOCATIONS: usize = 3;
+
 const TARGETS: &[(&str, f64)] = &[
     ("html", 1.28),
     ("ir", 1.10),
@@ -34,8 +38,12 @@ fn measure(spec: &memento_workloads::spec::WorkloadSpec) -> f64 {
     let steady = spec.category != Category::Function;
     let (b, m) = if steady {
         (
-            Machine::new(SystemConfig::baseline()).run_steady(spec, 0.4),
-            Machine::new(SystemConfig::memento()).run_steady(spec, 0.4),
+            Machine::new(SystemConfig::baseline())
+                .run_invocations(spec, STEADY_INVOCATIONS)
+                .steady,
+            Machine::new(SystemConfig::memento())
+                .run_invocations(spec, STEADY_INVOCATIONS)
+                .steady,
         )
     } else {
         (

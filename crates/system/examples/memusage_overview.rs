@@ -1,12 +1,21 @@
 use memento_system::{Machine, SystemConfig};
 use memento_workloads::{spec::Category, suite};
+
+/// Warm-container invocations per long-running app, as the evaluation
+/// runs them (`memento_experiments::context::STEADY_INVOCATIONS`).
+const STEADY_INVOCATIONS: usize = 3;
+
 fn main() {
     for spec in suite::all_workloads() {
         let steady = spec.category != Category::Function;
         let (b, m) = if steady {
             (
-                Machine::new(SystemConfig::baseline()).run_steady(&spec, 0.4),
-                Machine::new(SystemConfig::memento()).run_steady(&spec, 0.4),
+                Machine::new(SystemConfig::baseline())
+                    .run_invocations(&spec, STEADY_INVOCATIONS)
+                    .steady,
+                Machine::new(SystemConfig::memento())
+                    .run_invocations(&spec, STEADY_INVOCATIONS)
+                    .steady,
             )
         } else {
             (

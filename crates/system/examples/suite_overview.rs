@@ -1,6 +1,10 @@
 use memento_system::{stats, Machine, SystemConfig};
 use memento_workloads::suite;
 
+/// Warm-container invocations per long-running app, as the evaluation
+/// runs them (`memento_experiments::context::STEADY_INVOCATIONS`).
+const STEADY_INVOCATIONS: usize = 3;
+
 fn main() {
     println!(
         "{:<12} {:>7} {:>6} {:>7} {:>7} {:>7} {:>7} {:>7} {:>6}",
@@ -11,8 +15,12 @@ fn main() {
         let steady = spec.category != memento_workloads::spec::Category::Function;
         let (base, mem) = if steady {
             (
-                Machine::new(SystemConfig::baseline()).run_steady(&spec, 0.4),
-                Machine::new(SystemConfig::memento()).run_steady(&spec, 0.4),
+                Machine::new(SystemConfig::baseline())
+                    .run_invocations(&spec, STEADY_INVOCATIONS)
+                    .steady,
+                Machine::new(SystemConfig::memento())
+                    .run_invocations(&spec, STEADY_INVOCATIONS)
+                    .steady,
             )
         } else {
             (

@@ -26,7 +26,7 @@ use crate::config::SystemConfig;
 use crate::machine::{FunctionRun, Machine};
 use crate::stats::RunStats;
 use memento_pmem::{PmEpoch, PmPool};
-use memento_workloads::event::{Event, Trace};
+use memento_workloads::event::Trace;
 use memento_workloads::generator::generate;
 use memento_workloads::spec::WorkloadSpec;
 
@@ -37,7 +37,6 @@ pub struct WarmContainer {
     run: FunctionRun,
     spec: WorkloadSpec,
     trace: Trace,
-    body_len: usize,
     invocations: u64,
     serving_peak_pages: u64,
     /// The container's persistent checkpoint pool, created on the first
@@ -55,13 +54,6 @@ impl WarmContainer {
     /// they are the cold-start service time a scheduler should charge.
     pub fn cold_start(cfg: SystemConfig, spec: &WorkloadSpec) -> (Self, RunStats) {
         let trace = generate(spec);
-        // The trace's trailing Exit is container teardown; while the
-        // container lives, only the body replays (same convention as
-        // `Machine::run_invocations`).
-        let body_len = match trace.events.last() {
-            Some(Event::Exit) => trace.events.len() - 1,
-            _ => trace.events.len(),
-        };
         let mut machine = Machine::new(cfg);
         let run = machine.start(spec);
         let mut container = WarmContainer {
@@ -69,7 +61,6 @@ impl WarmContainer {
             run,
             spec: spec.clone(),
             trace,
-            body_len,
             invocations: 0,
             serving_peak_pages: 0,
             pm: None,
@@ -111,19 +102,15 @@ impl WarmContainer {
     }
 
     fn serve(&mut self) -> RunStats {
-        for i in 0..self.body_len {
-            let event = self.trace.events[i];
-            self.machine.step(&mut self.run, &event);
-        }
         // Peak unreclaimable footprint while the request body executed:
         // mapped data + tables, with the pool's recycle staging (free
         // frames in flight between arena frees and the next grant)
         // excluded — staging is reclaimable at any instant, like the OS
         // free list.
-        self.serving_peak_pages = self.machine.window_peak_unreclaimable();
-        self.machine.end_invocation(&mut self.run, 0);
+        let (stats, serving_peak) = self.machine.serve_invocation(&mut self.run, &self.trace);
+        self.serving_peak_pages = serving_peak;
         self.invocations += 1;
-        self.machine.collect_inner(&self.run)
+        stats
     }
 
     /// Tears the container down (keep-alive expiry or scheduler eviction):
@@ -315,27 +302,27 @@ mod tests {
     fn matches_run_invocations_warm_window() {
         // The externally-driven container must reproduce the monolithic
         // warm driver invocation for invocation: same machine, same
-        // boundary semantics, same cycle ledgers.
+        // boundary semantics, same statistics down to every counter.
         let spec = small_spec("html");
         let n = 3;
-        let reference = Machine::new(SystemConfig::memento()).run_invocations(&spec, n);
-        let (mut c, cold) = WarmContainer::cold_start(SystemConfig::memento(), &spec);
-        let mut warm = Vec::new();
-        for _ in 1..n {
-            warm.push(c.invoke());
-        }
-        assert_eq!(
-            cold.total_cycles(),
-            reference.invocations[0].total_cycles(),
-            "cold invocation diverged from run_invocations"
-        );
-        for (i, w) in warm.iter().enumerate() {
+        for cfg in [SystemConfig::baseline(), SystemConfig::memento()] {
+            let reference = Machine::new(cfg.clone()).run_invocations(&spec, n);
+            let (mut c, cold) = WarmContainer::cold_start(cfg, &spec);
+            // The cold start's frame counters also cover bring-up (process
+            // and device creation), which `run_invocations` leaves out of
+            // invocation 0; its cycle ledger is the same.
             assert_eq!(
-                w.total_cycles(),
-                reference.invocations[i + 1].total_cycles(),
-                "warm invocation {} diverged from run_invocations",
-                i + 1
+                format!("{:?}", cold.cycles),
+                format!("{:?}", reference.invocations[0].cycles),
+                "cold invocation diverged from run_invocations"
             );
+            for i in 1..n {
+                assert_eq!(
+                    format!("{:?}", c.invoke()),
+                    format!("{:?}", reference.invocations[i]),
+                    "warm invocation {i} diverged from run_invocations"
+                );
+            }
         }
     }
 

@@ -1129,22 +1129,6 @@ impl Machine {
         self.collect(&run)
     }
 
-    /// Runs `spec` but measures only the steady-state window after the
-    /// first `warmup_fraction` of events — how the paper evaluates the
-    /// long-running data-processing applications and platform services.
-    pub fn run_steady(&mut self, spec: &WorkloadSpec, warmup_fraction: f64) -> RunStats {
-        let trace = generate(spec);
-        let cut = ((trace.events.len() as f64) * warmup_fraction.clamp(0.0, 0.95)) as usize;
-        let mut run = self.start(spec);
-        for (i, event) in trace.events.iter().enumerate() {
-            if i == cut {
-                self.begin_measurement(&mut run);
-            }
-            self.step(&mut run, event);
-        }
-        self.collect(&run)
-    }
-
     /// Ends one warm invocation without tearing the container down: the
     /// function returned, so everything it still holds dies now, but the
     /// process, allocator, device, pool, and Memento page table survive to
@@ -1157,7 +1141,7 @@ impl Machine {
     /// own frees replayed at once, and allocator decay runs on background
     /// threads (jemalloc's decay purging), neither on the request's
     /// critical path. The tracing layer still observes every charge.
-    pub(crate) fn end_invocation(&mut self, run: &mut FunctionRun, core: usize) {
+    fn end_invocation(&mut self, run: &mut FunctionRun, core: usize) {
         let live_account = std::mem::replace(&mut run.account, CycleAccount::new());
         self.end_invocation_inner(run, core);
         run.account = live_account;
@@ -1270,6 +1254,31 @@ impl Machine {
         }
     }
 
+    /// Serves one invocation of a warm container on `run` and collects its
+    /// statistics: replays the trace body, then the boundary quiesce (see
+    /// [`Machine::end_invocation`]). The trace's trailing `Exit` is
+    /// container teardown, which a living container never reaches, so it
+    /// is not replayed. Also returns the peak unreclaimable frames while
+    /// the body executed (see [`Machine::window_peak_unreclaimable`]).
+    /// [`Machine::run_invocations`] and the cluster's
+    /// [`crate::WarmContainer`] both serve through here.
+    pub(crate) fn serve_invocation(
+        &mut self,
+        run: &mut FunctionRun,
+        trace: &Trace,
+    ) -> (RunStats, u64) {
+        let body = match trace.events.split_last() {
+            Some((Event::Exit, body)) => body,
+            _ => &trace.events[..],
+        };
+        for event in body {
+            self.step(run, event);
+        }
+        let serving_peak = self.window_peak_unreclaimable();
+        self.end_invocation(run, 0);
+        (self.collect_inner(run), serving_peak)
+    }
+
     /// Runs `spec` as `n` back-to-back invocations in one warm container —
     /// the paper's §6.3 steady state. One process, one allocator, one
     /// Memento attachment: the device, pool, and Memento page table stay
@@ -1289,12 +1298,6 @@ impl Machine {
             "warm run needs a cold and at least one warm invocation"
         );
         let trace = generate(spec);
-        // The trace's trailing Exit is container teardown; during the warm
-        // loop the container survives, so replay only the body.
-        let body_len = match trace.events.last() {
-            Some(Event::Exit) => trace.events.len() - 1,
-            _ => trace.events.len(),
-        };
         let mut run = self.start(spec);
         let mut invocations = Vec::with_capacity(n);
         let mut steady_snapshot = None;
@@ -1306,17 +1309,14 @@ impl Machine {
             if inv == 1 {
                 steady_snapshot.clone_from(&run.snapshot);
             }
-            for event in &trace.events[..body_len] {
-                self.step(&mut run, event);
-            }
-            self.end_invocation(&mut run, 0);
+            let (stats, _) = self.serve_invocation(&mut run, &trace);
             if inv >= 1 {
                 steady_account.merge(&run.account);
                 steady_gc_runs += run.gc_runs;
                 steady_frag.0 += run.frag_live;
                 steady_frag.1 += run.frag_total;
             }
-            invocations.push(self.collect_inner(&run));
+            invocations.push(stats);
         }
         // Steady window: everything after the cold invocation, as one
         // delta against the state at the start of invocation 1.

@@ -10,9 +10,10 @@
 //! becomes exactly one span of the same length.
 //!
 //! The ledger covers the whole execution. For steady-state runs
-//! ([`crate::Machine::run_steady`]) the run's own account is reset at the
-//! measurement boundary while the trace keeps the warm-up — a trace that
-//! dropped its first half would be useless for profiling.
+//! ([`crate::Machine::run_invocations`]) the run's own account is reset at
+//! each invocation boundary while the trace keeps the cold start and every
+//! earlier invocation — a trace that dropped them would be useless for
+//! profiling.
 //!
 //! Span vocabulary (`cat: "charge"`): `user` (application compute and data
 //! access), `mm` (allocator fast paths, software and hardware),

@@ -227,8 +227,8 @@ impl Trace {
             .sum()
     }
 
-    /// Mallocs per kilo-instruction (the paper's workload-selection
-    /// criterion is ≥ 0.5 MallocPKI).
+    /// Mallocs per kilo-instruction (the paper selects workloads with
+    /// ≥ 0.5 MallocPKI).
     pub fn malloc_pki(&self) -> f64 {
         let insts = self.total_instructions();
         if insts == 0 {

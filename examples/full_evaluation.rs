@@ -69,6 +69,14 @@ fn main() {
 
     println!();
     println!("{}", sensitivity::multiprocess(&ctx));
+    // Cold starts and allocator tuning run fresh machines per row, so they
+    // run on representative subsets.
+    let cold_specs = ["html", "US", "bfs-go"].map(|n| ctx.workload(n));
+    println!();
+    println!("{}", sensitivity::coldstart_for(&mut ctx, &cold_specs));
+    let tune_specs = ["html", "mk"].map(|n| ctx.workload(n));
+    println!();
+    println!("{}", sensitivity::tuning_for(&mut ctx, &tune_specs));
     println!();
     println!(
         "{}",

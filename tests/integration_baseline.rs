@@ -1,6 +1,7 @@
 //! Integration tests of the baseline software stack end-to-end: workload
 //! generation → software allocators → kernel → cache hierarchy.
 
+use memento_experiments::context::STEADY_INVOCATIONS;
 use memento_system::{Machine, SystemConfig};
 use memento_workloads::spec::{Category, Language, WorkloadSpec};
 use memento_workloads::suite;
@@ -111,11 +112,12 @@ fn deterministic_across_runs() {
 #[test]
 fn steady_state_excludes_warmup() {
     let spec = shrunk("Redis", 1_000_000);
-    let full = Machine::new(SystemConfig::baseline()).run(&spec);
-    let steady = Machine::new(SystemConfig::baseline()).run_steady(&spec, 0.4);
-    assert!(steady.total_cycles() < full.total_cycles());
+    let warm = Machine::new(SystemConfig::baseline()).run_invocations(&spec, STEADY_INVOCATIONS);
+    let cold = &warm.invocations[0];
     assert!(
-        steady.kernel.page_faults < full.kernel.page_faults,
-        "heap-growth faults happen mostly during warm-up"
+        warm.steady.kernel.page_faults < cold.kernel.page_faults,
+        "heap-growth faults happen mostly in the cold invocation: steady {} vs cold {}",
+        warm.steady.kernel.page_faults,
+        cold.kernel.page_faults
     );
 }
