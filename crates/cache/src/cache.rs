@@ -127,6 +127,8 @@ pub struct SetAssocCache {
     stamp: u64,
     stats: CacheStats,
     set_mask: u64,
+    /// `set_mask.count_ones()`, hoisted out of every lookup.
+    set_bits: u32,
     set_shift: u32,
 }
 
@@ -139,6 +141,7 @@ impl SetAssocCache {
             stamp: 0,
             stats: CacheStats::default(),
             set_mask: num_sets as u64 - 1,
+            set_bits: (num_sets as u64 - 1).count_ones(),
             set_shift: CACHE_LINE_SHIFT,
             cfg,
         }
@@ -156,10 +159,7 @@ impl SetAssocCache {
 
     fn set_and_tag(&self, addr: PhysAddr) -> (usize, u64) {
         let line = addr.raw() >> self.set_shift;
-        (
-            (line & self.set_mask) as usize,
-            line >> self.set_mask.count_ones(),
-        )
+        ((line & self.set_mask) as usize, line >> self.set_bits)
     }
 
     /// Looks up the line holding `addr`. On a hit the LRU stamp is refreshed
@@ -215,7 +215,7 @@ impl SetAssocCache {
         self.stamp += 1;
         let stamp = self.stamp;
         self.stats.fills += 1;
-        let set_bits = self.set_mask.count_ones();
+        let set_bits = self.set_bits;
         let set_shift = self.set_shift;
         let set = &mut self.sets[set_idx];
 
@@ -305,7 +305,7 @@ impl SetAssocCache {
     /// Invalidates every line, returning the base addresses of dirty lines
     /// that must be written back. Models a flush at context switch.
     pub fn flush(&mut self) -> Vec<PhysAddr> {
-        let set_bits = self.set_mask.count_ones();
+        let set_bits = self.set_bits;
         let set_shift = self.set_shift;
         let mut dirty = Vec::new();
         for (set_idx, set) in self.sets.iter_mut().enumerate() {

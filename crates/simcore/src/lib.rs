@@ -13,6 +13,8 @@
 //! - [`physmem`] — a sparse model of simulated physical memory holding real
 //!   bytes, so page tables and allocator metadata are genuine data structures
 //!   rather than abstract counters.
+//! - [`inthash`] — an unkeyed multiplicative hasher for maps keyed by
+//!   frame numbers, object ids and other simulator-generated integers.
 //! - [`stats`] — small counter utilities.
 //! - [`json`] — a dependency-free JSON document model used for trace
 //!   record/replay and report export (the build environment is offline).
@@ -38,6 +40,7 @@
 
 pub mod addr;
 pub mod cycles;
+pub mod inthash;
 pub mod json;
 pub mod physmem;
 pub mod pool;

@@ -8,6 +8,7 @@
 //! latency; this crate only provides storage and capacity accounting.
 
 use crate::addr::{PhysAddr, PAGE_SIZE};
+use crate::inthash::BuildIntHasher;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -55,6 +56,11 @@ impl fmt::Display for OutOfMemory {
 
 impl std::error::Error for OutOfMemory {}
 
+/// Bytes OR-reduced per step of [`PhysMem::frame_is_zero`]: wide enough to
+/// vectorize, narrow enough that a non-zero word near the start of a frame
+/// ends the scan early. Divides [`PAGE_SIZE`].
+const ZERO_SCAN_CHUNK: usize = 256;
+
 /// Sparse byte-level model of physical memory.
 ///
 /// Pages materialize (zero-filled) on first write. A built-in bump allocator
@@ -74,7 +80,9 @@ impl std::error::Error for OutOfMemory {}
 /// ```
 #[derive(Clone)]
 pub struct PhysMem {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    /// Backing storage of touched frames, keyed by frame number. Unkeyed
+    /// integer hash: this map is consulted on every simulated access.
+    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>, BuildIntHasher>,
     total_frames: u64,
     boot_next: u64,
 }
@@ -93,7 +101,7 @@ impl PhysMem {
             "physical memory must hold at least one page"
         );
         PhysMem {
-            pages: HashMap::new(),
+            pages: HashMap::default(),
             total_frames,
             boot_next: 0,
         }
@@ -199,6 +207,21 @@ impl PhysMem {
         self.page_mut(addr.page_number())[off] = value;
     }
 
+    /// Whether every byte of `frame` is zero. One map lookup, then an
+    /// OR-reduction over fixed-size chunks (which vectorizes) with an exit
+    /// at the first non-zero chunk. An untouched frame is zero.
+    pub fn frame_is_zero(&self, frame: Frame) -> bool {
+        match self.pages.get(&frame.number()) {
+            Some(page) => {
+                let (chunks, _) = page.as_chunks::<ZERO_SCAN_CHUNK>();
+                chunks
+                    .iter()
+                    .all(|chunk| chunk.iter().fold(0u8, |acc, &b| acc | b) == 0)
+            }
+            None => true,
+        }
+    }
+
     /// Zero-fills an entire frame (used when recycling pages and when the
     /// Memento page allocator zeroes fresh page-table pages).
     pub fn zero_frame(&mut self, frame: Frame) {
@@ -270,6 +293,63 @@ mod tests {
         mem.release_frame(f);
         assert_eq!(mem.touched_frames(), 0);
         assert_eq!(mem.read_u64(f.base_addr()), 0);
+    }
+
+    #[test]
+    fn frame_is_zero_untouched() {
+        let mem = PhysMem::new(4 * PAGE_SIZE as u64);
+        assert!(mem.frame_is_zero(Frame::from_number(2)));
+        assert_eq!(mem.touched_frames(), 0, "the check materializes nothing");
+    }
+
+    #[test]
+    fn frame_is_zero_sees_first_byte() {
+        let mut mem = PhysMem::new(4 * PAGE_SIZE as u64);
+        let f = Frame::from_number(1);
+        mem.write_u8(f.base_addr(), 1);
+        assert!(!mem.frame_is_zero(f));
+        assert!(
+            mem.frame_is_zero(Frame::from_number(0)),
+            "neighbour untouched"
+        );
+        assert!(
+            mem.frame_is_zero(Frame::from_number(2)),
+            "neighbour untouched"
+        );
+    }
+
+    #[test]
+    fn frame_is_zero_sees_last_byte() {
+        let mut mem = PhysMem::new(4 * PAGE_SIZE as u64);
+        let f = Frame::from_number(1);
+        mem.write_u8(f.base_addr().add(PAGE_SIZE as u64 - 1), 0x80);
+        assert!(!mem.frame_is_zero(f));
+        assert!(
+            mem.frame_is_zero(Frame::from_number(2)),
+            "no spill into next"
+        );
+    }
+
+    #[test]
+    fn frame_is_zero_after_zero_frame() {
+        let mut mem = PhysMem::new(4 * PAGE_SIZE as u64);
+        let f = Frame::from_number(3);
+        mem.write_u64(f.base_addr().add(2048), u64::MAX);
+        assert!(!mem.frame_is_zero(f));
+        mem.zero_frame(f);
+        assert!(mem.frame_is_zero(f));
+        assert_eq!(mem.touched_frames(), 1, "zeroing keeps the backing page");
+    }
+
+    #[test]
+    fn frame_is_zero_after_release_frame() {
+        let mut mem = PhysMem::new(4 * PAGE_SIZE as u64);
+        let f = Frame::from_number(3);
+        mem.write_u64(f.base_addr().add(8), 5);
+        assert!(!mem.frame_is_zero(f));
+        mem.release_frame(f);
+        assert!(mem.frame_is_zero(f));
+        assert_eq!(mem.touched_frames(), 0);
     }
 
     #[test]

@@ -302,10 +302,6 @@ impl PageTable {
         })
     }
 
-    fn table_is_empty(mem: &PhysMem, table: Frame) -> bool {
-        (0..ENTRIES_PER_TABLE as u64).all(|i| mem.read_u64(table.base_addr().add(i * 8)) == 0)
-    }
-
     /// Unmaps `va`, returning the data frame and any table pages freed
     /// because they became empty. Missing mappings unmap to an empty result.
     pub fn unmap(&mut self, mem: &mut PhysMem, va: VirtAddr) -> UnmapResult {
@@ -338,7 +334,9 @@ impl PageTable {
         for window in (1..path.len()).rev() {
             let (table_frame, _) = path[window];
             let (_, parent_entry) = path[window - 1];
-            if Self::table_is_empty(mem, table_frame) {
+            // A table page is empty iff all its PTEs are zero, i.e. the
+            // whole frame is.
+            if mem.frame_is_zero(table_frame) {
                 mem.write_u64(parent_entry, 0);
                 mem.release_frame(table_frame);
                 result.freed_tables.push(table_frame);
@@ -430,6 +428,32 @@ mod tests {
         assert_eq!(res.leaf_frame, Some(f1));
         assert!(res.freed_tables.is_empty(), "leaf table still holds va2");
         assert!(pt.translate(&mem, va2).is_some());
+    }
+
+    #[test]
+    fn leaf_table_freed_only_with_its_last_entry() {
+        let (mut mem, mut pt) = setup();
+        // One full leaf table: indices 0..512 under the same parent entry.
+        let base = VirtAddr::new(0x40_0000_0000);
+        let va = |i: u64| base.add(i * PAGE_SIZE as u64);
+        let mut frames = Vec::new();
+        for i in 0..ENTRIES_PER_TABLE as u64 {
+            let frame = mem.alloc_frame().unwrap();
+            pt.map_boot(&mut mem, va(i), frame, PtePerms::rw()).unwrap();
+            frames.push(frame);
+        }
+        assert_eq!(pt.table_pages(), 4);
+        let last = ENTRIES_PER_TABLE as u64 - 1;
+        for i in 0..last {
+            let res = pt.unmap(&mut mem, va(i));
+            assert_eq!(res.leaf_frame, Some(frames[i as usize]));
+            assert!(res.freed_tables.is_empty(), "entry {last} still live");
+            assert_eq!(pt.table_pages(), 4);
+        }
+        let res = pt.unmap(&mut mem, va(last));
+        assert_eq!(res.leaf_frame, Some(frames[last as usize]));
+        assert_eq!(res.freed_tables.len(), 3, "leaf and both intermediates");
+        assert_eq!(pt.table_pages(), 1);
     }
 
     #[test]

@@ -19,10 +19,9 @@
 //!   that no longer suppresses anything is itself reported
 //!   (`unused-waiver`), so suppressions cannot rot.
 //!
-//! The seven legacy rules are ported onto the new engine (the frozen
-//! original lives in [`legacy`] and `tests/differential.rs` proves the
-//! port faithful), and five concurrency-readiness passes join them; see
-//! [`Rule`] for the full table and DESIGN.md §11 for the architecture.
+//! The seven rules of the old per-line scanner run on the token engine,
+//! and five concurrency-readiness passes join them; see [`Rule`] for the
+//! full table and DESIGN.md §11 for the architecture.
 //!
 //! # Waivers
 //!
@@ -36,7 +35,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub mod legacy;
 pub mod lexer;
 
 use lexer::{Lexed, TokenKind};
@@ -642,7 +640,7 @@ fn token_passes(lx: &Lexed, profile: &FileProfile, in_test: &[bool], hits: &mut 
     }
 }
 
-/// Line-pattern passes over the code view: the ported legacy rules plus
+/// Line-pattern passes over the code view: the old scanner's rules plus
 /// `panic-in-lib` and `float-accumulation-order`.
 fn line_passes(lx: &Lexed, profile: &FileProfile, in_test: &[bool], hits: &mut Vec<Hit>) {
     let lib = profile.sim_lib || profile.tool_lib;
@@ -1066,7 +1064,7 @@ mod tests {
 
     #[test]
     fn block_comments_do_not_false_positive() {
-        // The legacy scanner's blind spot: banned patterns inside block
+        // The old per-line scanner's blind spot: banned patterns inside block
         // comments tripped, and an odd quote inside one broke parity for
         // the rest of the line.
         let src = "/* Instant::now BTreeMap x.unwrap() */ fn f() {}\n\

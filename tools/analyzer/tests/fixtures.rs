@@ -9,7 +9,7 @@
 
 use std::path::{Path, PathBuf};
 
-use memento_analyzer::{legacy, scan_file, scan_source, Rule};
+use memento_analyzer::{scan_file, scan_source, Rule};
 
 /// (fixture dir, scan-as path) for every rule.
 const CASES: [(&str, &str, Rule); 14] = [
@@ -159,20 +159,14 @@ fn every_rule_has_a_waived_fixture() {
 
 #[test]
 fn lexer_block_comment_regression_fixture() {
-    // Satellite regression for the legacy strip_comments blind spot:
-    // banned patterns inside /* */ (and a quote that used to break
-    // parity) must not trip the token engine, while the frozen legacy
-    // scanner demonstrably misfires on the same bytes.
+    // Regression for the old per-line scanner's strip_comments blind
+    // spot: banned patterns inside /* */ (and a quote that used to break
+    // parity) must not trip the token engine.
     let src = fixture("lexer", "block_comments.rs");
     let rel = "crates/system/src/machine.rs";
     let new = scan_source(rel, &src);
     assert!(
         new.is_empty(),
         "token engine misread block comments: {new:?}"
-    );
-    let old = legacy::scan_source(rel, &src);
-    assert!(
-        !old.is_empty(),
-        "fixture no longer demonstrates the legacy blind spot"
     );
 }
