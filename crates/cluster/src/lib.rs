@@ -34,9 +34,7 @@
 //! - [`sim`] — the deterministic event-driven simulator with incremental
 //!   fleet-footprint accounting, per-node metrics, exact tail-latency
 //!   quantiles, and drain-time conservation audits from
-//!   `memento_sanitizer::fleet`. [`sim::simulate_jobs`] fans node
-//!   execution across worker threads when the run decomposes per node,
-//!   with byte-identical output to the serial reference.
+//!   `memento_sanitizer::fleet`.
 //! - [`error`] — typed construction/validation errors.
 //!
 //! # Examples
@@ -77,7 +75,6 @@ pub mod error;
 pub mod event_heap;
 pub mod policy;
 pub mod profile;
-mod shard;
 pub mod sim;
 pub mod trace;
 
@@ -88,7 +85,7 @@ pub use policy::{
     Autoscaler, AutoscalerConfig, ColdStart, KeepAlive, Placement, Reclamation, RejectReason,
 };
 pub use profile::{calibrate, ProfileTable, ServiceProfile};
-pub use sim::{simulate, simulate_jobs, ClusterConfig, ClusterResult, Engine};
+pub use sim::{simulate, ClusterConfig, ClusterResult, Engine};
 pub use trace::{
     generate_trace, ArrivalTrace, DiurnalTrace, EmpiricalTrace, FlashCrowd, UniformTrace,
 };

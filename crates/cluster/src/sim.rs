@@ -24,19 +24,6 @@
 //! strings. The workspace analyzer (`tools/analyzer`) bans `BTreeMap`
 //! from this file's hot paths so the flattening cannot regress silently.
 //!
-//! # Parallel node execution
-//!
-//! [`simulate_jobs`] fans node execution across real worker threads when
-//! the run decomposes per node — Profiled engine (no shared machines) and
-//! round-robin placement (arrival *i* lands on node *i* mod N regardless
-//! of fleet state, so no cross-node scheduling coupling exists). Nodes
-//! are partitioned into contiguous shards, each shard runs the identical
-//! serial engine over its own arrivals, and results merge by `(time,
-//! seq)`-settled timestamps — the same slot-by-input-index pattern as the
-//! sharded experiment runner ([`memento_simcore::pool::map_ordered`]).
-//! The serial path is the reference; `serial_and_sharded_runs_agree`
-//! asserts byte-identical tables, timelines, and peaks.
-//!
 //! # Accounting
 //!
 //! The scheduler tracks the fleet memory footprint *incrementally*: each
@@ -49,9 +36,9 @@
 //! staging is reclaimable at any instant exactly like the OS free list.
 //! The running total drives the footprint timeline and peak; the peak is
 //! taken over *timestamp-settled* footprints (all events at one simulated
-//! instant apply before the maximum is sampled), so it is independent of
-//! how same-instant events across nodes interleave — the property that
-//! makes the sharded merge byte-identical to the serial run. At drain, a
+//! instant apply before the maximum is sampled), so it does not depend on
+//! how same-instant events across nodes interleave: a transient level
+//! between two events at one instant is never a peak. At drain, a
 //! [`FleetAuditor`] recounts frames node by node from the engine's ground
 //! truth and re-checks invocation conservation — any drift surfaces as a
 //! sanitizer violation in [`ClusterResult::audit`].
@@ -222,14 +209,6 @@ impl ClusterResult {
         )
     }
 
-    /// Mean end-to-end latency in cycles (0 when nothing completed).
-    pub fn mean_latency(&self) -> f64 {
-        if self.latencies.is_empty() {
-            return 0.0;
-        }
-        self.latencies.iter().sum::<u64>() as f64 / self.latencies.len() as f64
-    }
-
     /// True when the drain-time conservation audits found no violation.
     pub fn is_clean(&self) -> bool {
         self.audit.is_clean()
@@ -312,8 +291,7 @@ fn validate(engine: &Engine, cfg: &ClusterConfig, mix: &WorkloadMix) -> Result<(
 /// Runs the fleet simulation over a pre-drawn arrival sequence and drains
 /// it to quiescence, serially on the calling thread. The arrival slice
 /// must be time-sorted (as [`crate::arrival::generate_arrivals`]
-/// produces). This is the reference the sharded path must match
-/// byte-for-byte.
+/// produces).
 pub fn simulate(
     engine: Engine,
     cfg: &ClusterConfig,
@@ -322,48 +300,7 @@ pub fn simulate(
 ) -> Result<ClusterResult, ClusterError> {
     validate(&engine, cfg, mix)?;
     let costs = Costs::resolve(engine.with_node_cores(cfg.cores_per_node), mix);
-    let mut sim = Sim::new(costs, cfg, mix, None, 0, cfg.record_timeline);
-    sim.run(arrivals);
-    Ok(sim.finish())
-}
-
-/// Like [`simulate`], but fans node execution across up to `jobs` worker
-/// threads when the run decomposes per node: Profiled engine, round-robin
-/// placement, and more than one node. Output is byte-identical to the
-/// serial path (same tables, timeline, and settled peak); configurations
-/// that do not decompose (least-loaded placement couples nodes through
-/// the shared scheduler, Measured machines are not `Sync`) fall back to
-/// the serial engine.
-pub fn simulate_jobs(
-    engine: Engine,
-    cfg: &ClusterConfig,
-    mix: &WorkloadMix,
-    arrivals: &[Arrival],
-    jobs: usize,
-) -> Result<ClusterResult, ClusterError> {
-    validate(&engine, cfg, mix)?;
-    // The node-sharded path needs per-node decomposability: round-robin
-    // routing fixes each arrival's node up front, and nothing may couple
-    // nodes through fleet-global state. Variable size-aware TTLs shard
-    // fine in principle, but the autoscaler (global controller) and the
-    // squeeze (fleet-watermark trigger) do not — those fall back to the
-    // serial reference. Snapshot restore and park-to-PM are per-container
-    // (constant TTL, per-slot checkpoint state) and shard.
-    let decomposable = matches!(
-        cfg.keep_alive,
-        KeepAlive::None | KeepAlive::Fixed(_) | KeepAlive::Infinite | KeepAlive::ParkToPM { .. }
-    ) && cfg.autoscaler == Autoscaler::None
-        && cfg.reclamation == Reclamation::None;
-    if jobs > 1 && cfg.nodes > 1 && cfg.placement == Placement::RoundRobin && decomposable {
-        if let Engine::Profiled(table) = &engine {
-            let costs = resolve_profiles(table, mix);
-            return Ok(crate::shard::simulate_sharded(
-                &costs, cfg, mix, arrivals, jobs,
-            ));
-        }
-    }
-    let costs = Costs::resolve(engine.with_node_cores(cfg.cores_per_node), mix);
-    let mut sim = Sim::new(costs, cfg, mix, None, 0, cfg.record_timeline);
+    let mut sim = Sim::new(costs, cfg, mix);
     sim.run(arrivals);
     Ok(sim.finish())
 }
@@ -371,21 +308,21 @@ pub fn simulate_jobs(
 /// Mix-indexed service costs, resolved once before the first event so the
 /// per-invocation hot path never touches a string-keyed table.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct ProfileCosts {
-    pub(crate) cold_cycles: u64,
-    pub(crate) warm_cycles: u64,
-    pub(crate) active_frames: u64,
-    pub(crate) idle_frames: u64,
-    pub(crate) restore_cycles: u64,
-    pub(crate) squeeze_floor_frames: u64,
-    pub(crate) squeeze_refault_cycles: u64,
-    pub(crate) pm_restore_cycles: u64,
-    pub(crate) pm_persist_cycles: u64,
-    pub(crate) pm_idle_frames: u64,
+struct ProfileCosts {
+    cold_cycles: u64,
+    warm_cycles: u64,
+    active_frames: u64,
+    idle_frames: u64,
+    restore_cycles: u64,
+    squeeze_floor_frames: u64,
+    squeeze_refault_cycles: u64,
+    pm_restore_cycles: u64,
+    pm_persist_cycles: u64,
+    pm_idle_frames: u64,
 }
 
 /// Resolves a validated profile table into mix-index order.
-pub(crate) fn resolve_profiles(table: &ProfileTable, mix: &WorkloadMix) -> Vec<ProfileCosts> {
+fn resolve_profiles(table: &ProfileTable, mix: &WorkloadMix) -> Vec<ProfileCosts> {
     mix.specs()
         .iter()
         .map(|spec| {
@@ -409,7 +346,7 @@ pub(crate) fn resolve_profiles(table: &ProfileTable, mix: &WorkloadMix) -> Vec<P
 }
 
 /// The engine with lookups pre-resolved for the hot path.
-pub(crate) enum Costs {
+enum Costs {
     Measured(Box<SystemConfig>),
     Profiled(Vec<ProfileCosts>),
 }
@@ -562,16 +499,10 @@ struct Slot {
     machine: u32,
 }
 
-pub(crate) struct Sim<'a> {
+struct Sim<'a> {
     costs: Costs,
     cfg: &'a ClusterConfig,
     mix: &'a WorkloadMix,
-    /// Pre-assigned local node per arrival index (shard mode); `None`
-    /// routes through the placement policy.
-    assign: Option<&'a [u32]>,
-    /// Global id of this sim's node 0 (shard mode offsets metric names
-    /// and audit node ids).
-    node_offset: usize,
     record_timeline: bool,
     expiries: ExpiryQueue,
     /// One seq counter shared by all three event sources (arrival cursor,
@@ -673,7 +604,7 @@ pub(crate) struct Sim<'a> {
 /// bytes, so four counting passes beat `sort_unstable`'s ~19 comparison
 /// levels severalfold. Output is the canonical ascending order, identical
 /// to any correct sort.
-pub(crate) fn radix_sort_u64(v: &mut Vec<u64>) {
+fn radix_sort_u64(v: &mut Vec<u64>) {
     let Some(&max) = v.iter().max() else { return };
     let mut buf = vec![0u64; v.len()];
     let mut shift = 0u32;
@@ -711,14 +642,7 @@ fn reject_index(reason: RejectReason) -> usize {
 }
 
 impl<'a> Sim<'a> {
-    pub(crate) fn new(
-        costs: Costs,
-        cfg: &'a ClusterConfig,
-        mix: &'a WorkloadMix,
-        assign: Option<&'a [u32]>,
-        node_offset: usize,
-        record_timeline: bool,
-    ) -> Self {
+    fn new(costs: Costs, cfg: &'a ClusterConfig, mix: &'a WorkloadMix) -> Self {
         // With an autoscaler, every array is sized for the controller's
         // hardware bound; nodes beyond the initial fleet start `Off`.
         let total_nodes = match cfg.autoscaler {
@@ -744,9 +668,7 @@ impl<'a> Sim<'a> {
             costs,
             cfg,
             mix,
-            assign,
-            node_offset,
-            record_timeline,
+            record_timeline: cfg.record_timeline,
             expiries: ExpiryQueue::new(),
             next_seq: 0,
             now: 0,
@@ -811,7 +733,7 @@ impl<'a> Sim<'a> {
         seq
     }
 
-    pub(crate) fn run(&mut self, arrivals: &[Arrival]) {
+    fn run(&mut self, arrivals: &[Arrival]) {
         let _prof = selfprof::span("cluster.sim.run");
         self.latencies.reserve(arrivals.len());
         // The pending arrival: `(time, seq, index)`. Stamped when its
@@ -874,7 +796,7 @@ impl<'a> Sim<'a> {
                         next_arrival =
                             Some((arrivals[index + 1].time, self.alloc_seq(), index + 1));
                     }
-                    self.on_arrival(index, &arrivals[index]);
+                    self.on_arrival(&arrivals[index]);
                 }
                 Src::Completion(lane) => self.on_completion(lane as usize),
                 Src::Expiry => {
@@ -897,24 +819,11 @@ impl<'a> Sim<'a> {
         }
     }
 
-    fn on_arrival(&mut self, index: usize, a: &Arrival) {
+    fn on_arrival(&mut self, a: &Arrival) {
         self.submitted += 1;
         // lint:allow(narrowing-cast-in-hot-path): workload ids index the mix table, far below 2^32
         let workload = a.workload as u32;
-        let placed = match self.assign {
-            // Shard mode: the round-robin target was fixed fleet-wide at
-            // plan time; only the local admission check remains.
-            Some(assign) => {
-                let node = assign[index] as usize;
-                if self.has_space(node) {
-                    Ok(node)
-                } else {
-                    Err(RejectReason::QueueFull)
-                }
-            }
-            None => self.place(a.workload),
-        };
-        match placed {
+        match self.place(a.workload) {
             Ok(node) => {
                 self.in_flight += 1;
                 self.load[node] += 1;
@@ -1269,7 +1178,7 @@ impl<'a> Sim<'a> {
                 let machine = self.slots[slot as usize].machine;
                 let m = self.machine_mut(machine);
                 // Seed the crash-injection audit from the container's own
-                // checkpoint history — deterministic and shard-independent.
+                // checkpoint history — deterministic and independent of other containers.
                 let seed = m.pm_sealed_epoch().map(|e| e.raw()).unwrap_or(0);
                 (m.park_to_pm(seed), 0)
             }
@@ -1453,8 +1362,8 @@ impl<'a> Sim<'a> {
     /// Folds the settled footprint at the just-finished instant into the
     /// peak. Sampling at instant boundaries (instead of after every
     /// individual contribution change) makes the peak independent of how
-    /// same-instant events interleave — the invariant the sharded merge
-    /// relies on.
+    /// same-instant events interleave, and equal to the highest level the
+    /// timeline records.
     fn settle_peak(&mut self) {
         if self.peak_dirty {
             if self.fleet_now > self.fleet_peak {
@@ -1681,7 +1590,7 @@ impl<'a> Sim<'a> {
         self.retired += 1;
     }
 
-    pub(crate) fn finish(mut self) -> ClusterResult {
+    fn finish(mut self) -> ClusterResult {
         let _prof = selfprof::span("cluster.sim.finish");
         self.settle_peak();
         debug_assert!(
@@ -1708,8 +1617,10 @@ impl<'a> Sim<'a> {
         let per_node: Vec<(usize, u64)> = live
             .into_iter()
             .map(|slot| {
-                let node = self.node_offset + self.slots[slot as usize].node as usize;
-                (node, self.idle_frames(slot))
+                (
+                    self.slots[slot as usize].node as usize,
+                    self.idle_frames(slot),
+                )
             })
             .collect();
         auditor.audit_fleet_frames(self.next_seq, self.fleet_now, per_node);
@@ -1727,7 +1638,7 @@ impl<'a> Sim<'a> {
                 self.next_seq,
                 (0..self.nodes.len()).map(|n| {
                     (
-                        self.node_offset + n,
+                        n,
                         self.node_state[n] == NodeState::Active,
                         self.load[n] as u64,
                         warm_counts[n],
@@ -1775,8 +1686,7 @@ impl<'a> Sim<'a> {
         metrics.set("cluster.peak_fleet_frames", self.fleet_peak);
         metrics.set("cluster.final_fleet_frames", self.fleet_now);
         metrics.set("cluster.makespan_cycles", self.now);
-        for (i, count) in self.node_invocations.iter().enumerate() {
-            let node = self.node_offset + i;
+        for (node, count) in self.node_invocations.iter().enumerate() {
             metrics.set(&format!("cluster.node{node:03}.invocations"), *count);
         }
         metrics.set_hist("cluster.latency_cycles", self.latency_hist.clone());
@@ -1821,32 +1731,6 @@ impl<'a> Sim<'a> {
             audit,
         }
     }
-}
-
-/// Runs one node shard of a round-robin Profiled fleet: `arrivals` are
-/// the shard's own (already filtered) arrivals, `assign[i]` the local
-/// node each must land on, and `node_offset` the global id of local node
-/// 0. The timeline is always recorded — the merge needs it to settle the
-/// fleet-wide peak.
-pub(crate) fn run_shard(
-    costs: &[ProfileCosts],
-    cfg: &ClusterConfig,
-    mix: &WorkloadMix,
-    arrivals: &[Arrival],
-    assign: &[u32],
-    node_offset: usize,
-) -> ClusterResult {
-    debug_assert_eq!(arrivals.len(), assign.len());
-    let mut sim = Sim::new(
-        Costs::Profiled(costs.to_vec()),
-        cfg,
-        mix,
-        Some(assign),
-        node_offset,
-        true,
-    );
-    sim.run(arrivals);
-    sim.finish()
 }
 
 #[cfg(test)]
@@ -2145,83 +2029,48 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_sharded_runs_agree_byte_for_byte() {
+    fn peak_is_the_highest_settled_timeline_level() {
+        // The timeline records one settled level per instant, so the peak
+        // must be its maximum and the drain footprint its last entry, for
+        // single- and multi-lane round-robin nodes and for least-loaded
+        // placement alike.
         let mix = two_mix();
-        let cfg = ClusterConfig {
-            nodes: 5, // deliberately not divisible by the job counts below
-            queue_capacity: 2,
-            placement: Placement::RoundRobin,
-            keep_alive: KeepAlive::Fixed(30_000),
-            ..ClusterConfig::default()
-        };
         let arrival = ArrivalConfig {
             seed: 41,
             count: 4_000,
             mean_interarrival_cycles: 1_200.0,
         };
-        let arrivals = generate_arrivals(&arrival, &mix).expect("valid arrivals");
-        let table = synthetic_table(&mix);
-        let serial =
-            simulate(Engine::Profiled(table.clone()), &cfg, &mix, &arrivals).expect("serial run");
-        for jobs in [2, 3, 8] {
-            let sharded =
-                simulate_jobs(Engine::Profiled(table.clone()), &cfg, &mix, &arrivals, jobs)
-                    .expect("sharded run");
-            assert_eq!(serial.submitted, sharded.submitted, "jobs={jobs}");
-            assert_eq!(serial.completed, sharded.completed, "jobs={jobs}");
-            assert_eq!(serial.rejected_by, sharded.rejected_by, "jobs={jobs}");
-            assert_eq!(serial.cold_starts, sharded.cold_starts, "jobs={jobs}");
-            assert_eq!(serial.warm_starts, sharded.warm_starts, "jobs={jobs}");
-            assert_eq!(serial.expired, sharded.expired, "jobs={jobs}");
-            assert_eq!(serial.retired, sharded.retired, "jobs={jobs}");
-            assert_eq!(serial.latencies, sharded.latencies, "jobs={jobs}");
-            assert_eq!(serial.timeline, sharded.timeline, "jobs={jobs}");
-            assert_eq!(
-                serial.peak_fleet_frames, sharded.peak_fleet_frames,
-                "jobs={jobs}"
-            );
-            assert_eq!(
-                serial.final_fleet_frames, sharded.final_fleet_frames,
-                "jobs={jobs}"
-            );
-            assert_eq!(
-                serial.makespan_cycles, sharded.makespan_cycles,
-                "jobs={jobs}"
-            );
-            assert_eq!(
-                serial.metrics.render(),
-                sharded.metrics.render(),
-                "jobs={jobs}"
-            );
-            assert!(sharded.is_clean(), "jobs={jobs}: {}", sharded.audit);
-        }
-    }
-
-    #[test]
-    fn non_decomposable_configs_fall_back_to_serial() {
-        // LeastLoaded couples nodes through the shared scheduler, so
-        // simulate_jobs must run it serially — and still agree with
-        // simulate exactly.
-        let mix = two_mix();
-        let cfg = ClusterConfig {
-            nodes: 4,
-            placement: Placement::LeastLoaded,
+        let base = ClusterConfig {
+            nodes: 5,
+            queue_capacity: 2,
+            placement: Placement::RoundRobin,
+            keep_alive: KeepAlive::Fixed(30_000),
             ..ClusterConfig::default()
         };
-        let arrival = ArrivalConfig {
-            seed: 23,
-            count: 1_000,
-            mean_interarrival_cycles: 3_000.0,
-        };
-        let arrivals = generate_arrivals(&arrival, &mix).expect("valid arrivals");
-        let table = synthetic_table(&mix);
-        let serial =
-            simulate(Engine::Profiled(table.clone()), &cfg, &mix, &arrivals).expect("serial");
-        let jobs =
-            simulate_jobs(Engine::Profiled(table), &cfg, &mix, &arrivals, 4).expect("fallback run");
-        assert_eq!(serial.latencies, jobs.latencies);
-        assert_eq!(serial.timeline, jobs.timeline);
-        assert_eq!(serial.metrics.render(), jobs.metrics.render());
+        let configs = [
+            base.clone(),
+            ClusterConfig {
+                cores_per_node: 3,
+                ..base.clone()
+            },
+            ClusterConfig {
+                placement: Placement::LeastLoaded,
+                ..base
+            },
+        ];
+        for cfg in &configs {
+            let r = run_profiled(cfg, &arrival, &mix);
+            let label = format!("{:?} x{} cores", cfg.placement, cfg.cores_per_node);
+            assert!(
+                r.timeline.windows(2).all(|w| w[0].0 < w[1].0),
+                "{label}: timeline instants must strictly increase"
+            );
+            let highest = r.timeline.iter().map(|&(_, f)| f).max();
+            assert_eq!(Some(r.peak_fleet_frames), highest, "{label}");
+            let last = r.timeline.last().map(|&(_, f)| f);
+            assert_eq!(Some(r.final_fleet_frames), last, "{label}");
+            assert!(r.is_clean(), "{label}: {}", r.audit);
+        }
     }
 
     #[test]
@@ -2285,35 +2134,6 @@ mod tests {
             "multi-lane audits must pass: {}",
             four.audit
         );
-    }
-
-    #[test]
-    fn multi_core_sharded_runs_agree_with_serial() {
-        let mix = two_mix();
-        let cfg = ClusterConfig {
-            nodes: 5,
-            queue_capacity: 2,
-            cores_per_node: 3,
-            placement: Placement::RoundRobin,
-            keep_alive: KeepAlive::Fixed(30_000),
-            ..ClusterConfig::default()
-        };
-        let arrival = ArrivalConfig {
-            seed: 41,
-            count: 4_000,
-            mean_interarrival_cycles: 1_200.0,
-        };
-        let arrivals = generate_arrivals(&arrival, &mix).expect("valid arrivals");
-        let table = synthetic_table(&mix);
-        let serial =
-            simulate(Engine::Profiled(table.clone()), &cfg, &mix, &arrivals).expect("serial run");
-        let sharded =
-            simulate_jobs(Engine::Profiled(table), &cfg, &mix, &arrivals, 3).expect("sharded run");
-        assert_eq!(serial.latencies, sharded.latencies);
-        assert_eq!(serial.timeline, sharded.timeline);
-        assert_eq!(serial.peak_fleet_frames, sharded.peak_fleet_frames);
-        assert_eq!(serial.metrics.render(), sharded.metrics.render());
-        assert!(sharded.is_clean());
     }
 
     #[test]

@@ -219,16 +219,6 @@ impl Default for EvalContext {
     }
 }
 
-/// Group-average helper over workload categories, in the paper's reporting
-/// order (func-avg, data-avg, pltf-avg).
-pub fn group_label(cat: Category) -> &'static str {
-    match cat {
-        Category::Function => "func-avg",
-        Category::DataProc => "data-avg",
-        Category::Platform => "pltf-avg",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

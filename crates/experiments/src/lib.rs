@@ -72,6 +72,6 @@ pub use context::{ConfigKind, EvalContext};
 pub use error::ExperimentError;
 pub use profile::{profile_run, ProfileReport};
 pub use ratio::page_ratio;
-pub use runner::{map_ordered, merge_metrics, RunnerTiming};
+pub use runner::{map_ordered, RunnerTiming};
 pub use sharding::SimPoint;
 pub use table::Table;

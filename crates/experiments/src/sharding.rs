@@ -5,8 +5,8 @@
 //! key alone (never from scheduling order or wall-clock), so a sweep can be
 //! farmed out to any number of worker threads and still aggregate into
 //! byte-identical tables: results are slotted by shard, not by completion
-//! order, and every source of randomness in a shard derives from
-//! [`SimPoint::shard_seed`] / the spec's own seed rather than global state.
+//! order, and every source of randomness in a shard derives from the
+//! spec's own seed rather than global state.
 
 use crate::context::ConfigKind;
 use memento_workloads::spec::WorkloadSpec;
@@ -47,16 +47,6 @@ impl SimPoint {
         eat(format!("{:?}", self.kind).as_bytes());
         h
     }
-
-    /// Per-shard RNG seed: the shard id folded into the workload's own
-    /// seed via SplitMix64, so distinct design points of one workload get
-    /// decorrelated streams while staying fully reproducible.
-    pub fn shard_seed(&self) -> u64 {
-        let mut z = self.shard_id() ^ self.spec.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
 }
 
 /// Builds the deterministic execution plan for a sweep: duplicates (same
@@ -87,7 +77,6 @@ mod tests {
         assert_eq!(a.shard_id(), point("aes", ConfigKind::Baseline).shard_id());
         assert_ne!(a.shard_id(), b.shard_id());
         assert_ne!(a.shard_id(), c.shard_id());
-        assert_ne!(a.shard_seed(), b.shard_seed());
     }
 
     #[test]

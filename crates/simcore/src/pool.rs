@@ -1,10 +1,9 @@
 //! Fixed-size worker pool: order-preserving parallel map shared by every
 //! layer that fans deterministic work across OS threads.
 //!
-//! Moved down from `memento-experiments::runner` so lower layers (the
-//! cluster simulator's node-sharded event engine) can parallelize behind
-//! the same `--jobs`/`MEMENTO_JOBS` knob without depending on the
-//! experiments crate. The determinism contract is unchanged:
+//! It sits in `simcore`, below every simulator crate, so any layer can
+//! parallelize behind the same `--jobs`/`MEMENTO_JOBS` knob without
+//! depending on the experiments crate. The determinism contract:
 //! [`map_ordered`] returns results in input order no matter how many
 //! workers run or how the OS schedules them — workers pull work from a
 //! shared index and send `(index, result)` back, and results are slotted

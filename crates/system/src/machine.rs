@@ -1121,11 +1121,16 @@ impl Machine {
         self.run_trace(spec, &trace)
     }
 
-    /// Runs a pre-generated trace to completion.
+    /// Runs a pre-generated trace to completion. A trace without a
+    /// trailing `Exit` (one loaded from a truncated file) is torn down as
+    /// if it had one, so its statistics still charge the teardown.
     pub fn run_trace(&mut self, spec: &WorkloadSpec, trace: &Trace) -> RunStats {
         let mut run = self.start(spec);
         for event in &trace.events {
             self.step(&mut run, event);
+        }
+        if !run.finished {
+            self.finish_run(&mut run, 0);
         }
         self.collect(&run)
     }
@@ -1339,11 +1344,20 @@ impl Machine {
     /// quanta of `quantum_events` events (§6.6 multi-process study).
     /// Returns per-function statistics; context-switch and HOT-flush costs
     /// are charged to the switched-out function.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `quantum_events` is 0 (no quantum would ever step an
+    /// event, so the functions would never finish).
     pub fn run_timeshared(
         &mut self,
         specs: &[WorkloadSpec],
         quantum_events: usize,
     ) -> Vec<RunStats> {
+        assert!(
+            quantum_events > 0,
+            "time-sharing needs a quantum of at least one event"
+        );
         let traces: Vec<Trace> = specs.iter().map(generate).collect();
         let mut runs: Vec<FunctionRun> = specs.iter().map(|s| self.start(s)).collect();
         let mut cursors = vec![0usize; specs.len()];
@@ -1381,13 +1395,6 @@ impl Machine {
     /// footprint as the cluster layer accounts it.
     pub fn resident_pages(&self) -> u64 {
         self.kernel.frame_stats().current_total()
-    }
-
-    /// Per-use snapshot of the machine's physical-frame accounting
-    /// (diagnostic accessor; the cluster layer splits pool reserve from
-    /// data-backing frames with it).
-    pub fn frame_breakdown(&self) -> memento_kernel::buddy::FrameStats {
-        self.kernel.frame_stats().clone()
     }
 
     /// Keep-alive park: hands the hardware pool's idle reserve back to the

@@ -95,6 +95,38 @@ fn empty_trace_still_tears_down() {
 }
 
 #[test]
+fn truncated_trace_is_torn_down_like_one_ending_in_exit() {
+    // A trace loaded from a truncated file has no trailing Exit. The run
+    // must still be torn down and charged exactly as if it had one.
+    let body = vec![
+        Event::Alloc {
+            id: ObjectId(1),
+            size: 64,
+        },
+        Event::Touch {
+            id: ObjectId(1),
+            offset: 0,
+            len: 64,
+            write: true,
+        },
+    ];
+    let mut with_exit = body.clone();
+    with_exit.push(Event::Exit);
+    for cfg in [SystemConfig::baseline(), SystemConfig::memento()] {
+        let truncated = Machine::new(cfg.clone()).run_trace(&tiny_spec(), &trace(body.clone()));
+        let complete = Machine::new(cfg).run_trace(&tiny_spec(), &trace(with_exit.clone()));
+        assert_eq!(format!("{truncated:?}"), format!("{complete:?}"));
+    }
+}
+
+#[test]
+#[should_panic(expected = "quantum of at least one event")]
+fn zero_timeshare_quantum_is_rejected() {
+    // A zero quantum would never step an event and never finish.
+    let _ = Machine::new(SystemConfig::memento()).run_timeshared(&[tiny_spec()], 0);
+}
+
+#[test]
 #[should_panic(expected = "OutOfMemory")]
 fn physical_memory_exhaustion_is_loud() {
     // A machine with almost no physical memory cannot back the heap: the
