@@ -26,8 +26,8 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics unless `size_bytes` is a multiple of `assoc * 64` and the set
-    /// count is a power of two (or 1).
+    /// Panics if `assoc` is 0, or unless `size_bytes` is a multiple of
+    /// `assoc * 64` and the set count is a power of two (or 1).
     pub fn new(name: &str, size_bytes: usize, assoc: usize, latency: u64) -> Self {
         let cfg = CacheConfig {
             name: name.to_owned(),
@@ -45,7 +45,16 @@ impl CacheConfig {
     }
 
     /// Number of sets implied by the geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `assoc` is 0.
     pub fn num_sets(&self) -> usize {
+        assert!(
+            self.assoc > 0,
+            "cache {} must have at least one way, got assoc 0",
+            self.name
+        );
         self.size_bytes / (self.assoc * CACHE_LINE_SIZE)
     }
 
@@ -72,15 +81,35 @@ impl CacheConfig {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default)]
+/// Tag of an empty way. A tag is a line number shifted right by the set
+/// bits, so it never reaches `u64::MAX`.
+const INVALID: u64 = u64::MAX;
+
+/// One way: 24 bytes.
+#[derive(Clone, Copy, Debug)]
 struct Line {
+    /// [`INVALID`] for an empty way.
     tag: u64,
-    valid: bool,
-    dirty: bool,
+    /// LRU stamp; 0 in an empty way, so the first empty way is always the
+    /// oldest (live stamps start at 1).
     lru: u64,
     /// Core that last filled this line (fair-share accounting in the LLC;
     /// always 0 in private levels).
-    owner: usize,
+    owner: u32,
+    dirty: bool,
+}
+
+impl Line {
+    const EMPTY: Line = Line {
+        tag: INVALID,
+        lru: 0,
+        owner: 0,
+        dirty: false,
+    };
+
+    fn valid(&self) -> bool {
+        self.tag != INVALID
+    }
 }
 
 /// Per-level statistics.
@@ -123,7 +152,10 @@ pub enum Eviction {
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Every way of every set, set-major: way `w` of set `s` is
+    /// `lines[s * assoc + w]`.
+    lines: Vec<Line>,
+    assoc: usize,
     stamp: u64,
     stats: CacheStats,
     set_mask: u64,
@@ -137,7 +169,8 @@ impl SetAssocCache {
     pub fn new(cfg: CacheConfig) -> Self {
         let num_sets = cfg.num_sets();
         SetAssocCache {
-            sets: vec![vec![Line::default(); cfg.assoc]; num_sets],
+            lines: vec![Line::EMPTY; num_sets * cfg.assoc],
+            assoc: cfg.assoc,
             stamp: 0,
             stats: CacheStats::default(),
             set_mask: num_sets as u64 - 1,
@@ -162,15 +195,20 @@ impl SetAssocCache {
         ((line & self.set_mask) as usize, line >> self.set_bits)
     }
 
+    /// Base address of the line with `tag` in set `set_idx`.
+    fn line_addr(&self, set_idx: usize, tag: u64) -> PhysAddr {
+        PhysAddr::new(((tag << self.set_bits) | set_idx as u64) << self.set_shift)
+    }
+
     /// Looks up the line holding `addr`. On a hit the LRU stamp is refreshed
     /// and the line is marked dirty when `write`. Records demand stats.
     pub fn access(&mut self, addr: PhysAddr, write: bool) -> bool {
         let (set_idx, tag) = self.set_and_tag(addr);
         self.stamp += 1;
         let stamp = self.stamp;
-        let set = &mut self.sets[set_idx];
-        for line in set.iter_mut() {
-            if line.valid && line.tag == tag {
+        let base = set_idx * self.assoc;
+        for line in &mut self.lines[base..base + self.assoc] {
+            if line.tag == tag {
                 line.lru = stamp;
                 line.dirty |= write;
                 self.stats.demand.hit();
@@ -179,12 +217,6 @@ impl SetAssocCache {
         }
         self.stats.demand.miss();
         false
-    }
-
-    /// Probes without updating LRU or stats (used by coherence-style checks).
-    pub fn probe(&self, addr: PhysAddr) -> bool {
-        let (set_idx, tag) = self.set_and_tag(addr);
-        self.sets[set_idx].iter().any(|l| l.valid && l.tag == tag)
     }
 
     /// Installs the line holding `addr`, evicting the LRU way if needed.
@@ -197,10 +229,10 @@ impl SetAssocCache {
     /// Installs the line holding `addr` on behalf of `owner`, evicting a
     /// victim if needed.
     ///
-    /// With `fair_ways == 0` the victim is the plain LRU way — exactly the
-    /// behaviour of [`SetAssocCache::fill`]. With `fair_ways > 0` (shared
-    /// LLC under contention) victim selection prefers, among the valid
-    /// ways of the set, the LRU line whose owner currently holds *more*
+    /// With `fair_ways == 0` the victim is the first empty way, else the
+    /// LRU way — exactly the behaviour of [`SetAssocCache::fill`]. With
+    /// `fair_ways > 0` (shared LLC under contention) a full set's victim
+    /// is, among its ways, the LRU line whose owner currently holds *more*
     /// than `fair_ways` ways in this set: cores that overflow their fair
     /// share of the set are evicted first, approximating way-partitioned
     /// occupancy without hard partitioning.
@@ -215,127 +247,94 @@ impl SetAssocCache {
         self.stamp += 1;
         let stamp = self.stamp;
         self.stats.fills += 1;
-        let set_bits = self.set_bits;
-        let set_shift = self.set_shift;
-        let set = &mut self.sets[set_idx];
+        let owner = u32::try_from(owner).expect("core id fits in u32");
+        let base = set_idx * self.assoc;
+        let set = &mut self.lines[base..base + self.assoc];
 
-        // Already present (e.g. racing fill): refresh in place. The last
-        // filler takes ownership of the line.
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.lru = stamp;
-            line.dirty |= dirty;
-            line.owner = owner;
+        // One scan: a copy already present (e.g. racing fill) is refreshed
+        // in place and the last filler takes ownership; otherwise the way
+        // with the smallest stamp is the first empty way, or the LRU line
+        // of a full set.
+        let (mut victim, mut oldest) = (0, u64::MAX);
+        for (i, line) in set.iter_mut().enumerate() {
+            if line.tag == tag {
+                line.lru = stamp;
+                line.dirty |= dirty;
+                line.owner = owner;
+                return Eviction::None;
+            }
+            if line.lru < oldest {
+                (victim, oldest) = (i, line.lru);
+            }
+        }
+        if fair_ways > 0 && set[victim].valid() {
+            victim = Self::fair_victim(set, fair_ways).unwrap_or(victim);
+        }
+        let old = std::mem::replace(
+            &mut set[victim],
+            Line {
+                tag,
+                lru: stamp,
+                owner,
+                dirty,
+            },
+        );
+        if !old.valid() {
             return Eviction::None;
         }
-
-        let victim_idx = match set.iter().position(|l| !l.valid) {
-            Some(i) => i,
-            None => Self::pick_victim(set, fair_ways),
-        };
-        let victim = set[victim_idx];
-        let eviction = if victim.valid {
-            let victim_line = (victim.tag << set_bits) | set_idx as u64;
-            let victim_addr = PhysAddr::new(victim_line << set_shift);
-            if victim.dirty {
-                self.stats.writebacks += 1;
-                Eviction::Dirty(victim_addr)
-            } else {
-                Eviction::Clean(victim_addr)
-            }
+        let victim_addr = self.line_addr(set_idx, old.tag);
+        if old.dirty {
+            self.stats.writebacks += 1;
+            Eviction::Dirty(victim_addr)
         } else {
-            Eviction::None
-        };
-        set[victim_idx] = Line {
-            tag,
-            valid: true,
-            dirty,
-            lru: stamp,
-            owner,
-        };
-        eviction
+            Eviction::Clean(victim_addr)
+        }
     }
 
-    /// Victim way for a full set: LRU among over-quota owners when fair-share
-    /// partitioning is on, plain LRU otherwise.
-    fn pick_victim(set: &[Line], fair_ways: usize) -> usize {
-        if fair_ways > 0 {
-            let over_quota =
-                |l: &Line| set.iter().filter(|o| o.valid && o.owner == l.owner).count() > fair_ways;
-            if let Some(i) = set
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| over_quota(l))
-                .min_by_key(|(_, l)| l.lru)
-                .map(|(i, _)| i)
-            {
-                return i;
-            }
-        }
+    /// Fair-share victim of a full set: the LRU line among owners holding
+    /// more than `fair_ways` ways, if any owner does.
+    fn fair_victim(set: &[Line], fair_ways: usize) -> Option<usize> {
+        let over_quota = |l: &Line| set.iter().filter(|o| o.owner == l.owner).count() > fair_ways;
         set.iter()
             .enumerate()
+            .filter(|(_, l)| over_quota(l))
             .min_by_key(|(_, l)| l.lru)
             .map(|(i, _)| i)
-            .expect("non-empty set")
     }
 
     /// Number of valid lines currently owned by `owner` (LLC fair-share
     /// observability; private levels report everything under owner 0).
     pub fn owner_occupancy(&self, owner: usize) -> usize {
-        self.sets
+        self.lines
             .iter()
-            .flat_map(|set| set.iter())
-            .filter(|l| l.valid && l.owner == owner)
+            .filter(|l| l.valid() && l.owner as usize == owner)
             .count()
     }
 
     /// Total number of valid lines resident in the cache.
     pub fn occupancy(&self) -> usize {
-        self.sets
-            .iter()
-            .flat_map(|set| set.iter())
-            .filter(|l| l.valid)
-            .count()
+        self.lines.iter().filter(|l| l.valid()).count()
     }
 
     /// Line capacity of the cache (sets × ways).
     pub fn capacity_lines(&self) -> usize {
-        self.cfg.num_sets() * self.cfg.assoc
+        self.lines.len()
     }
 
     /// Invalidates every line, returning the base addresses of dirty lines
     /// that must be written back. Models a flush at context switch.
     pub fn flush(&mut self) -> Vec<PhysAddr> {
-        let set_bits = self.set_bits;
-        let set_shift = self.set_shift;
         let mut dirty = Vec::new();
-        for (set_idx, set) in self.sets.iter_mut().enumerate() {
-            for line in set.iter_mut() {
-                if line.valid {
-                    self.stats.flushed += 1;
-                    if line.dirty {
-                        let victim_line = (line.tag << set_bits) | set_idx as u64;
-                        dirty.push(PhysAddr::new(victim_line << set_shift));
-                    }
-                    *line = Line::default();
+        for i in 0..self.lines.len() {
+            let line = std::mem::replace(&mut self.lines[i], Line::EMPTY);
+            if line.valid() {
+                self.stats.flushed += 1;
+                if line.dirty {
+                    dirty.push(self.line_addr(i / self.assoc, line.tag));
                 }
             }
         }
         dirty
-    }
-
-    /// Invalidates the single line holding `addr` if present; returns whether
-    /// it was dirty.
-    pub fn invalidate(&mut self, addr: PhysAddr) -> Option<bool> {
-        let (set_idx, tag) = self.set_and_tag(addr);
-        for line in self.sets[set_idx].iter_mut() {
-            if line.valid && line.tag == tag {
-                let was_dirty = line.dirty;
-                *line = Line::default();
-                self.stats.flushed += 1;
-                return Some(was_dirty);
-            }
-        }
-        None
     }
 }
 
@@ -378,17 +377,18 @@ mod tests {
         let a = addr(0, 1);
         let b = addr(0, 2);
         let d = addr(0, 3);
-        c.fill(a, false);
-        c.fill(b, false);
+        c.fill(a, true);
+        c.fill(b, true);
         // Touch `a` so `b` becomes LRU.
         assert!(c.access(a, false));
-        match c.fill(d, false) {
-            Eviction::Clean(victim) => assert_eq!(victim, b),
-            other => panic!("expected clean eviction of b, got {other:?}"),
+        match c.fill(d, true) {
+            Eviction::Dirty(victim) => assert_eq!(victim, b),
+            other => panic!("expected dirty eviction of b, got {other:?}"),
         }
-        assert!(c.probe(a));
-        assert!(!c.probe(b));
-        assert!(c.probe(d));
+        // `a` and `d` stay resident; `b` is gone.
+        let mut resident = c.flush();
+        resident.sort();
+        assert_eq!(resident, vec![a, d]);
     }
 
     #[test]
@@ -412,8 +412,9 @@ mod tests {
         let a = addr(0, 5);
         c.fill(a, false);
         assert!(c.access(a, true));
-        assert_eq!(c.invalidate(a), Some(true));
-        assert_eq!(c.invalidate(a), None);
+        assert_eq!(c.flush(), vec![a]);
+        assert!(c.flush().is_empty());
+        assert_eq!(c.stats().flushed, 1);
     }
 
     #[test]
@@ -422,8 +423,9 @@ mod tests {
         let a = addr(0, 7);
         c.fill(a, false);
         assert_eq!(c.fill(a, true), Eviction::None);
+        assert_eq!(c.occupancy(), 1);
         // Dirty bit merged.
-        assert_eq!(c.invalidate(a), Some(true));
+        assert_eq!(c.flush(), vec![a]);
     }
 
     #[test]
@@ -436,8 +438,9 @@ mod tests {
         let mut dirty = c.flush();
         dirty.sort();
         assert_eq!(dirty, vec![a]);
-        assert!(!c.probe(a));
-        assert!(!c.probe(b));
+        assert_eq!(c.occupancy(), 0);
+        assert!(!c.access(a, false));
+        assert!(!c.access(b, false));
         assert_eq!(c.stats().flushed, 2);
     }
 
@@ -462,9 +465,9 @@ mod tests {
             Eviction::Clean(victim) => assert_eq!(victim, line(1)),
             other => panic!("expected clean eviction of over-quota line, got {other:?}"),
         }
-        assert!(c.probe(line(4)), "under-quota owner keeps its line");
         assert_eq!(c.owner_occupancy(0), 2);
         assert_eq!(c.owner_occupancy(1), 2);
+        assert!(c.access(line(4), false), "under-quota owner keeps its line");
     }
 
     #[test]
@@ -495,6 +498,12 @@ mod tests {
         assert_eq!(c.owner_occupancy(1), 1);
         c.flush();
         assert_eq!(c.occupancy(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one way")]
+    fn zero_way_geometry_is_rejected() {
+        CacheConfig::new("Z", 256, 0, 1);
     }
 
     #[test]

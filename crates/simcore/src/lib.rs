@@ -18,9 +18,6 @@
 //! - [`stats`] — small counter utilities.
 //! - [`json`] — a dependency-free JSON document model used for trace
 //!   record/replay and report export (the build environment is offline).
-//! - [`pool`] — the order-preserving worker pool behind every
-//!   `--jobs`/`MEMENTO_JOBS` parallel path (results slotted by input
-//!   index, so parallel sweeps are byte-identical to serial ones).
 //!
 //! # Examples
 //!
@@ -43,7 +40,6 @@ pub mod cycles;
 pub mod inthash;
 pub mod json;
 pub mod physmem;
-pub mod pool;
 pub mod stats;
 
 pub use addr::{PhysAddr, VirtAddr, CACHE_LINE_SIZE, PAGE_SIZE};

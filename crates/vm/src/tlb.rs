@@ -57,106 +57,117 @@ impl Default for TlbConfig {
     }
 }
 
+/// VPN of an empty way. A VPN is a virtual address shifted right by the
+/// page bits, so it never reaches `u64::MAX`.
+const INVALID: u64 = u64::MAX;
+
 #[derive(Clone, Copy, Debug)]
 struct TlbEntry {
+    /// [`INVALID`] for an empty way.
     vpn: u64,
     frame: Frame,
-    valid: bool,
+    /// LRU stamp; 0 in an empty way, so the first empty way is always the
+    /// oldest (live stamps start at 1).
     lru: u64,
+}
+
+impl TlbEntry {
+    const EMPTY: TlbEntry = TlbEntry {
+        vpn: INVALID,
+        frame: Frame::from_number(0),
+        lru: 0,
+    };
 }
 
 #[derive(Clone, Debug)]
 struct TlbArray {
-    sets: Vec<Vec<TlbEntry>>,
+    /// Every way of every set, set-major: way `w` of set `s` is
+    /// `entries[s * assoc + w]`.
+    entries: Vec<TlbEntry>,
+    assoc: usize,
+    num_sets: u64,
+    /// `num_sets - 1` when the set count is a power of two, so the set
+    /// index is a mask instead of a division.
+    set_mask: Option<u64>,
     stamp: u64,
     latency: Cycles,
 }
 
 impl TlbArray {
     fn new(cfg: TlbLevelConfig) -> Self {
+        assert!(
+            cfg.assoc > 0,
+            "TLB level must have at least one way, got assoc 0"
+        );
         // Paper geometry (2048-entry, 12-way) is not an exact multiple, so
         // round the set count up — matching how sliced TLBs are built.
         let num_sets = cfg.entries.div_ceil(cfg.assoc).max(1);
         TlbArray {
-            sets: vec![
-                vec![
-                    TlbEntry {
-                        vpn: 0,
-                        frame: Frame::from_number(0),
-                        valid: false,
-                        lru: 0,
-                    };
-                    cfg.assoc
-                ];
-                num_sets
-            ],
+            entries: vec![TlbEntry::EMPTY; num_sets * cfg.assoc],
+            assoc: cfg.assoc,
+            num_sets: num_sets as u64,
+            set_mask: num_sets.is_power_of_two().then(|| num_sets as u64 - 1),
             stamp: 0,
             latency: cfg.latency,
         }
     }
 
-    fn set_index(&self, vpn: u64) -> usize {
-        (vpn % self.sets.len() as u64) as usize
+    /// The ways of the set `vpn` maps to.
+    fn set_mut(&mut self, vpn: u64) -> &mut [TlbEntry] {
+        let set = match self.set_mask {
+            Some(mask) => vpn & mask,
+            None => vpn % self.num_sets,
+        };
+        let base = set as usize * self.assoc;
+        &mut self.entries[base..base + self.assoc]
     }
 
     fn lookup(&mut self, vpn: u64) -> Option<Frame> {
         self.stamp += 1;
         let stamp = self.stamp;
-        let idx = self.set_index(vpn);
-        for e in self.sets[idx].iter_mut() {
-            if e.valid && e.vpn == vpn {
-                e.lru = stamp;
-                return Some(e.frame);
-            }
-        }
-        None
+        let e = self.set_mut(vpn).iter_mut().find(|e| e.vpn == vpn)?;
+        e.lru = stamp;
+        Some(e.frame)
     }
 
     fn insert(&mut self, vpn: u64, frame: Frame) {
         self.stamp += 1;
         let stamp = self.stamp;
-        let idx = self.set_index(vpn);
-        let set = &mut self.sets[idx];
-        if let Some(e) = set.iter_mut().find(|e| e.valid && e.vpn == vpn) {
-            e.frame = frame;
-            e.lru = stamp;
-            return;
+        let set = self.set_mut(vpn);
+        // One scan: a present entry is updated in place; otherwise the way
+        // with the smallest stamp is the first empty way, or the LRU entry
+        // of a full set.
+        let (mut victim, mut oldest) = (0, u64::MAX);
+        for (i, e) in set.iter_mut().enumerate() {
+            if e.vpn == vpn {
+                e.frame = frame;
+                e.lru = stamp;
+                return;
+            }
+            if e.lru < oldest {
+                (victim, oldest) = (i, e.lru);
+            }
         }
-        let victim = match set.iter().position(|e| !e.valid) {
-            Some(i) => i,
-            None => set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.lru)
-                .map(|(i, _)| i)
-                .expect("non-empty set"),
-        };
         set[victim] = TlbEntry {
             vpn,
             frame,
-            valid: true,
             lru: stamp,
         };
     }
 
+    /// Empties the way holding `vpn`; an insert keeps at most one per VPN.
     fn invalidate(&mut self, vpn: u64) -> bool {
-        let idx = self.set_index(vpn);
-        let mut any = false;
-        for e in self.sets[idx].iter_mut() {
-            if e.valid && e.vpn == vpn {
-                e.valid = false;
-                any = true;
+        match self.set_mut(vpn).iter_mut().find(|e| e.vpn == vpn) {
+            Some(e) => {
+                *e = TlbEntry::EMPTY;
+                true
             }
+            None => false,
         }
-        any
     }
 
     fn flush(&mut self) {
-        for set in &mut self.sets {
-            for e in set.iter_mut() {
-                e.valid = false;
-            }
-        }
+        self.entries.fill(TlbEntry::EMPTY);
     }
 }
 
@@ -343,6 +354,14 @@ mod tests {
             assert_eq!(tlb.lookup(page(n)).frame, None);
         }
         assert_eq!(tlb.stats().flushes, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one way")]
+    fn zero_way_geometry_is_rejected() {
+        let mut cfg = TlbConfig::paper_default();
+        cfg.l2.assoc = 0;
+        Tlb::new(cfg);
     }
 
     #[test]

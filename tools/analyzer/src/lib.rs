@@ -144,7 +144,7 @@ impl Rule {
             }
             Rule::ThreadSpawn => {
                 "ad-hoc threads break the order-preserving parallelism contract; use \
-                 memento_simcore::pool::map_ordered"
+                 memento_experiments::runner::map_ordered"
             }
             Rule::UnorderedIter => {
                 "HashMap/HashSet iteration order is randomized per instance; iterate a \
@@ -291,8 +291,8 @@ pub struct FileProfile {
     pub experiments: bool,
 }
 
-/// The experiments-facing front of the worker pool: allowed to time
-/// shard sweeps and (historically) to spawn threads.
+/// The worker pool and its shard timing: allowed to read the wall clock
+/// and to spawn threads.
 const RUNNER: &str = "crates/experiments/src/runner.rs";
 
 /// Files sanctioned to read the wall clock (`crates/obs/src/selfprof.rs`
@@ -301,7 +301,7 @@ const RUNNER: &str = "crates/experiments/src/runner.rs";
 const TIMED_FILES: [&str; 1] = [RUNNER];
 
 /// Files allowed to spawn threads.
-const THREADED_FILES: [&str; 2] = [RUNNER, "crates/simcore/src/pool.rs"];
+const THREADED_FILES: [&str; 1] = [RUNNER];
 
 /// Per-event hot-path files: `BTreeMap`, gratuitous `SeqCst` and
 /// unbounded truncating `as` casts banned.
@@ -1247,10 +1247,10 @@ mod tests {
         let clock = "fn f() { let t = Instant::now(); }\n";
         let threads = "fn f() { thread::spawn(|| {}); }\n";
         assert!(rules_hit(RUNNER, &format!("{clock}{threads}")).is_empty());
-        assert!(rules_hit("crates/simcore/src/pool.rs", threads).is_empty());
         assert_eq!(
-            rules_hit("crates/simcore/src/pool.rs", clock),
-            vec![Rule::WallClock]
+            rules_hit("crates/simcore/src/pool.rs", threads),
+            vec![Rule::ThreadSpawn],
+            "the pool lives in the runner; simcore may not spawn threads"
         );
         assert_eq!(
             rules_hit("crates/bench/src/main.rs", threads),
